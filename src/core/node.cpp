@@ -68,27 +68,29 @@ Node::Node(NodeConfig cfg)
                            [this](Time) { meter_->sample(sim_.now()); });
 }
 
+// The grid holds one staged grant per socket: it applies within the
+// switching time, long before the next opportunity tick.
+static_assert(cal::kPstateSwitchTimeMax <
+              cal::kPstateOpportunityPeriod - cal::kPstateOpportunityJitter);
+
 void Node::schedule_pcu_grid(unsigned socket_id, Time first) {
     sim_.schedule_at(first, [this, socket_id] {
         const Time now = sim_.now();
         sync();
         trace_.record(now, "pcu", "socket" + std::to_string(socket_id), "opportunity");
-        auto out = sockets_[socket_id]->pcu_tick(now, any_core_active_in_system(),
-                                                 fastest_system_core());
-        if (out.has_value()) {
+        Socket& socket = *sockets_[socket_id];
+        if (const pcu::PcuOutputs* out =
+                socket.pcu_tick(now, any_core_active_in_system(), fastest_system_core())) {
+            socket.stage_grants(*out);
             const double switch_us = rng_.uniform(cal::kPstateSwitchTimeMin.as_us(),
                                                   cal::kPstateSwitchTimeMax.as_us());
-            sim_.schedule_after(Time::from_us(switch_us),
-                                [this, socket_id, grants = *out] {
-                                    sync();
-                                    sockets_[socket_id]->apply_grants(grants);
-                                    trace_.record(sim_.now(), "pstate",
-                                                  "socket" + std::to_string(socket_id),
-                                                  "change complete",
-                                                  grants.cores.empty()
-                                                      ? 0.0
-                                                      : grants.cores[0].frequency.as_ghz());
-                                });
+            sim_.schedule_after(Time::from_us(switch_us), [this, socket_id] {
+                sync();
+                const pcu::PcuOutputs& grants = sockets_[socket_id]->apply_staged_grants();
+                trace_.record(sim_.now(), "pstate", "socket" + std::to_string(socket_id),
+                              "change complete",
+                              grants.cores.empty() ? 0.0 : grants.cores[0].frequency.as_ghz());
+            });
         }
         // Next opportunity: ~500 us later with a little grid jitter.
         const double jitter_us = rng_.uniform(-cal::kPstateOpportunityJitter.as_us(),
@@ -166,10 +168,10 @@ void Node::install_msrs() {
                 const unsigned sid = socket_of(cpu);
                 sim_.schedule_after(cal::kLegacyPstateSwitchTime, [this, sid] {
                     sync();
-                    auto out = sockets_[sid]->pcu_tick(sim_.now(),
-                                                       any_core_active_in_system(),
-                                                       fastest_system_core());
-                    if (out.has_value()) sockets_[sid]->apply_grants(*out);
+                    if (const pcu::PcuOutputs* out = sockets_[sid]->pcu_tick(
+                            sim_.now(), any_core_active_in_system(), fastest_system_core())) {
+                        sockets_[sid]->apply_grants(*out);
+                    }
                 });
             }
         });

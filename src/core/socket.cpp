@@ -1,6 +1,7 @@
 #include "core/socket.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "arch/calibration.hpp"
@@ -24,7 +25,13 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
       cores_(sku.cores),
       turbo_enabled_{turbo_enabled},
       uncore_freq_{sku.uncore_min},
-      uncore_voltage_{power::VfCurve::uncore_curve(socket_id).voltage_for(sku.uncore_min)} {
+      uncore_voltage_{power::VfCurve::uncore_curve(socket_id).voltage_for(sku.uncore_min)},
+      dram_peak_gbs_{bw_model_
+                         .dram_read(mem::ConcurrencyConfig{sku.cores, 2}, sku.nominal_frequency,
+                                    sku.uncore_max)
+                         .as_gb_per_sec()},
+      core_states_(sku.cores) {
+    pcu_in_.cores.resize(sku.cores);
     util::Rng rng{seed * 131 + 7};
     for (auto& c : cores_) {
         c.requested_ratio = sku.nominal_frequency.ratio();
@@ -38,15 +45,14 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
     }
 }
 
-pcu::PcuInputs Socket::build_pcu_inputs(Time now, bool system_active,
-                                        Frequency fastest_system_core) const {
-    pcu::PcuInputs in;
-    in.cores.resize(cores_.size());
+void Socket::fill_pcu_inputs(pcu::PcuInputs& in, Time now, bool system_active,
+                             Frequency fastest_system_core) const {
     double traffic = 0.0;
     double current_intensity = 0.0;
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         const SimCore& c = cores_[i];
         auto& ci = in.cores[i];
+        ci = pcu::CoreInputs{};
         ci.state = c.state;
         ci.requested_ratio = c.requested_ratio;
         ci.hwp_request_raw = c.hwp_request_raw;
@@ -66,15 +72,16 @@ pcu::PcuInputs Socket::build_pcu_inputs(Time now, bool system_active,
     in.current_intensity = current_intensity;
     in.system_active = system_active;
     in.fastest_system_core = fastest_system_core;
-    if (const auto limit = rapl_.active_power_limit()) {
-        in.power_limit_watts = limit->as_watts();
-    }
+    const auto limit = rapl_.active_power_limit();
+    in.power_limit_watts = limit ? limit->as_watts() : 0.0;
     in.uncore_ratio_limit_raw = uncore_ratio_limit_raw_;
     in.hwp_enabled = hwp_enabled_;
     in.hwp_request_pkg_raw = hwp_request_pkg_raw_;
-    return in;
 }
 
+// hsw:hot-path -- every event syncs both sockets; one pass over the cores
+// integrates the counters and gathers the energy inputs at the operating
+// point that held since the last update.
 void Socket::advance_to(Time now) {
     const Time dt = now - last_update_;
     if (dt <= Time::zero()) {
@@ -83,9 +90,16 @@ void Socket::advance_to(Time now) {
     }
     const double seconds = dt.as_seconds();
 
-    // --- core counters ---
     const double tsc_ticks = sku_->nominal_frequency.as_hz() * seconds;
-    for (SimCore& c : cores_) {
+    Power cores_power = power::socket_static_power();
+    double uncore_traffic = 0.0;
+    double dram_demand = 0.0;
+    rapl::ActivityVector av;
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        SimCore& c = cores_[i];
+        core_states_[i] = c.state;
+        cores_power += core_power_at(c, last_update_);
+        // --- core counters ---
         if (c.state == cstates::CState::C3) c.c3_residency += tsc_ticks;
         if (c.state == cstates::CState::C6) c.c6_residency += tsc_ticks;
         if (c.state != cstates::CState::C0) continue;
@@ -93,42 +107,47 @@ void Socket::advance_to(Time now) {
         c.aperf += cycles;
         c.core_cycles += cycles;
         c.mperf += sku_->nominal_frequency.as_hz() * seconds;
-        if (c.workload != nullptr) {
-            const bool ht = c.threads >= 2;
-            const double ratio =
-                uncore_freq_ > Frequency::zero() ? c.frequency / uncore_freq_ : 1.0;
-            const double ipc = c.workload->ipc(ratio, ht) * c.throughput_factor;
-            c.instructions += ipc * cycles;
-            c.stall_cycles += c.workload->stall_fraction * cycles;
-        }
+        if (c.workload == nullptr) continue;
+        const bool ht = c.threads >= 2;
+        const double ratio =
+            uncore_freq_ > Frequency::zero() ? c.frequency / uncore_freq_ : 1.0;
+        const double ipc = c.workload->ipc(ratio, ht);
+        const double throughput = ipc * c.throughput_factor;
+        c.instructions += throughput * cycles;
+        c.stall_cycles += c.workload->stall_fraction * cycles;
+        // --- energy inputs ---
+        uncore_traffic += c.workload->uncore_traffic;
+        dram_demand += dram_demand_gbs(c);
+        const double f = c.frequency.as_hz();
+        av.core_cycles_per_s += f;
+        av.uops_per_s += ipc * f * 1.12;  // fused-uop expansion estimate
+        av.avx_ops_per_s += ipc * f * c.workload->avx_fraction;
     }
 
     // --- uncore clock counter ---
     if (!uncore_halted_) uncore_cycles_ += uncore_freq_.as_hz() * seconds;
 
     // --- package C-state residency ---
-    {
-        std::vector<cstates::CState> states;
-        states.reserve(cores_.size());
-        for (const SimCore& c : cores_) states.push_back(c.state);
-        const auto pkg = cstates::resolve_package_state(states, system_active_hint_);
-        if (pkg == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
-        if (pkg == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
-    }
+    const auto pkg_state = cstates::resolve_package_state(core_states_, system_active_hint_);
+    if (pkg_state == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
+    if (pkg_state == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
 
     // --- energy ---
-    const Power pkg = current_package_power(last_update_);
-    const Power dram = current_dram_power();
-    rapl_.integrate(pkg, dram, activity_vector(last_update_), dt);
+    const Power pkg = with_uncore_power(cores_power, uncore_traffic);
+    const Bandwidth dram_bw = dram_traffic(dram_demand);
+    av.dram_gbs = dram_bw.as_gb_per_sec();
+    if (!uncore_halted_) av.uncore_cycles_per_s = uncore_freq_.as_hz();
+    rapl_.integrate(pkg, power::dram_power(dram_bw), av, dt);
     thermal_.advance(pkg, dt);
 
     last_update_ = now;
 }
+// hsw:end-hot-path
 
-std::optional<pcu::PcuOutputs> Socket::pcu_tick(Time now, bool system_active,
-                                                Frequency fastest_system_core) {
-    const pcu::PcuInputs in = build_pcu_inputs(now, system_active, fastest_system_core);
-    pcu::PcuOutputs out = pcu_.evaluate(in, now);
+const pcu::PcuOutputs* Socket::pcu_tick(Time now, bool system_active,
+                                        Frequency fastest_system_core) {
+    fill_pcu_inputs(pcu_in_, now, system_active, fastest_system_core);
+    const pcu::PcuOutputs& out = pcu_.evaluate(pcu_in_, now);
 
     // Suppress the apply event when nothing changes (common in steady state).
     bool changed = out.uncore_frequency != uncore_freq_ ||
@@ -137,8 +156,20 @@ std::optional<pcu::PcuOutputs> Socket::pcu_tick(Time now, bool system_active,
         changed = out.cores[i].frequency != cores_[i].frequency ||
                   out.cores[i].throughput_factor != cores_[i].throughput_factor;
     }
-    if (!changed) return std::nullopt;
-    return out;
+    return changed ? &out : nullptr;
+}
+
+void Socket::stage_grants(const pcu::PcuOutputs& out) {
+    assert(!grants_staged_ && "a socket holds at most one pending grant");
+    staged_grants_ = out;
+    grants_staged_ = true;
+}
+
+const pcu::PcuOutputs& Socket::apply_staged_grants() {
+    assert(grants_staged_);
+    grants_staged_ = false;
+    apply_grants(staged_grants_);
+    return staged_grants_;
 }
 
 void Socket::apply_grants(const pcu::PcuOutputs& out) {
@@ -176,45 +207,52 @@ unsigned Socket::active_core_count() const {
         }));
 }
 
+Power Socket::core_power_at(const SimCore& c, Time now) const {
+    const bool running = c.state == cstates::CState::C0;
+    const power::CoreActivity activity{
+        .cdyn_utilization = (running && c.workload != nullptr)
+                                ? c.workload->cdyn_at(now, c.threads >= 2)
+                                : 0.0,
+        .clock_running = running,
+        .power_gated = cstates::power_gated(c.state),
+    };
+    return power::core_power(activity, c.voltage, c.frequency);
+}
+
+Power Socket::with_uncore_power(Power cores, double traffic_sum) const {
+    if (uncore_halted_) return cores;
+    const double traffic = std::min(1.0, traffic_sum / static_cast<double>(cores_.size()));
+    return cores + power::uncore_power(traffic, uncore_voltage_, uncore_freq_);
+}
+
 Power Socket::current_package_power(Time now) const {
     Power total = power::socket_static_power();
+    double traffic = 0.0;
     for (const SimCore& c : cores_) {
-        const bool running = c.state == cstates::CState::C0;
-        const power::CoreActivity activity{
-            .cdyn_utilization = (running && c.workload != nullptr)
-                                    ? c.workload->cdyn_at(now, c.threads >= 2)
-                                    : 0.0,
-            .clock_running = running,
-            .power_gated = cstates::power_gated(c.state),
-        };
-        total += power::core_power(activity, c.voltage, c.frequency);
-    }
-    if (!uncore_halted_) {
-        double traffic = 0.0;
-        for (const SimCore& c : cores_) {
-            if (c.state == cstates::CState::C0 && c.workload != nullptr) {
-                traffic += c.workload->uncore_traffic;
-            }
+        total += core_power_at(c, now);
+        if (c.state == cstates::CState::C0 && c.workload != nullptr) {
+            traffic += c.workload->uncore_traffic;
         }
-        traffic = std::min(1.0, traffic / static_cast<double>(cores_.size()));
-        total += power::uncore_power(traffic, uncore_voltage_, uncore_freq_);
     }
-    return total;
+    return with_uncore_power(total, traffic);
+}
+
+double Socket::dram_demand_gbs(const SimCore& c) const {
+    const double scale = c.frequency / sku_->nominal_frequency;
+    const double ht = c.threads >= 2 ? 1.15 : 1.0;
+    return c.workload->dram_gbs_per_core * scale * ht;
+}
+
+Bandwidth Socket::dram_traffic(double demand_gbs) const {
+    return Bandwidth::gb_per_sec(std::min(demand_gbs, dram_peak_gbs_));
 }
 
 Bandwidth Socket::current_dram_traffic() const {
     double demand = 0.0;
     for (const SimCore& c : cores_) {
-        if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
-        const double scale = c.frequency / sku_->nominal_frequency;
-        const double ht = c.threads >= 2 ? 1.15 : 1.0;
-        demand += c.workload->dram_gbs_per_core * scale * ht;
+        if (c.state == cstates::CState::C0 && c.workload != nullptr) demand += dram_demand_gbs(c);
     }
-    const double peak =
-        bw_model_.dram_read(mem::ConcurrencyConfig{sku_->cores, 2},
-                            sku_->nominal_frequency, sku_->uncore_max)
-            .as_gb_per_sec();
-    return Bandwidth::gb_per_sec(std::min(demand, peak));
+    return dram_traffic(demand);
 }
 
 Power Socket::current_dram_power() const {
@@ -242,23 +280,6 @@ mem::ConcurrencyConfig Socket::concurrency() const {
     }
     cfg.cores = std::max(cfg.cores, 1u);
     return cfg;
-}
-
-rapl::ActivityVector Socket::activity_vector(Time now) const {
-    rapl::ActivityVector av;
-    for (const SimCore& c : cores_) {
-        if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
-        const double f = c.frequency.as_hz();
-        const double ratio = uncore_freq_ > Frequency::zero() ? c.frequency / uncore_freq_ : 1.0;
-        const double ipc = c.workload->ipc(ratio, c.threads >= 2);
-        av.core_cycles_per_s += f;
-        av.uops_per_s += ipc * f * 1.12;  // fused-uop expansion estimate
-        av.avx_ops_per_s += ipc * f * c.workload->avx_fraction;
-        (void)now;
-    }
-    av.dram_gbs = current_dram_traffic().as_gb_per_sec();
-    if (!uncore_halted_) av.uncore_cycles_per_s = uncore_freq_.as_hz();
-    return av;
 }
 
 }  // namespace hsw::core

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "arch/sku.hpp"
@@ -74,12 +73,20 @@ public:
     void advance_to(Time now);
 
     /// One PCU opportunity-grid evaluation. Returns the grants to apply
-    /// after the switching delay (nullopt when nothing changes).
-    [[nodiscard]] std::optional<pcu::PcuOutputs> pcu_tick(Time now, bool system_active,
-                                                          Frequency fastest_system_core);
+    /// after the switching delay, or null when nothing changes. The grants
+    /// live in the PCU's output buffer until its next evaluation.
+    [[nodiscard]] const pcu::PcuOutputs* pcu_tick(Time now, bool system_active,
+                                                  Frequency fastest_system_core);
 
-    /// Apply previously computed grants (called at tick + switching time).
+    /// Apply grants now.
     void apply_grants(const pcu::PcuOutputs& out);
+
+    /// Hold grants until apply_staged_grants() (tick + switching time).
+    /// One grant per socket can be pending: the switching time is far
+    /// shorter than the opportunity grid's period.
+    void stage_grants(const pcu::PcuOutputs& out);
+    /// Apply the staged grants; returns them.
+    const pcu::PcuOutputs& apply_staged_grants();
 
     // --- state access ---
     [[nodiscard]] unsigned id() const { return id_; }
@@ -138,13 +145,20 @@ public:
     [[nodiscard]] Bandwidth achieved_l3_bandwidth() const;
     [[nodiscard]] Bandwidth achieved_dram_bandwidth() const;
 
-    /// Build the PCU inputs for the current state (modulation evaluated at
-    /// `now`). Public for tests.
-    [[nodiscard]] pcu::PcuInputs build_pcu_inputs(Time now, bool system_active,
-                                                  Frequency fastest_system_core) const;
-
 private:
-    [[nodiscard]] rapl::ActivityVector activity_vector(Time now) const;
+    /// The PCU inputs for the current state (modulation evaluated at
+    /// `now`), written over every field of `in`.
+    void fill_pcu_inputs(pcu::PcuInputs& in, Time now, bool system_active,
+                         Frequency fastest_system_core) const;
+    /// One core's power at the current operating point.
+    [[nodiscard]] Power core_power_at(const SimCore& c, Time now) const;
+    /// Add the uncore's power to the cores' total, given the running
+    /// workloads' summed uncore traffic.
+    [[nodiscard]] Power with_uncore_power(Power cores, double traffic_sum) const;
+    /// DRAM traffic a running core's workload demands at its clock (GB/s).
+    [[nodiscard]] double dram_demand_gbs(const SimCore& c) const;
+    /// Summed demand, clamped to the SKU's DRAM read ceiling.
+    [[nodiscard]] Bandwidth dram_traffic(double demand_gbs) const;
     [[nodiscard]] mem::ConcurrencyConfig concurrency() const;
 
     const arch::Sku* sku_;
@@ -170,6 +184,15 @@ private:
     double pkg_c6_residency_ = 0.0;
     bool system_active_hint_ = false;
     Time last_update_;
+
+    // DRAM read ceiling for the traffic clamp, fixed by the SKU.
+    double dram_peak_gbs_ = 0.0;
+    // Reused buffers: advance_to() and pcu_tick() run for every event and
+    // every opportunity tick, and allocate nothing.
+    std::vector<cstates::CState> core_states_;
+    pcu::PcuInputs pcu_in_;
+    pcu::PcuOutputs staged_grants_;
+    bool grants_staged_ = false;
 };
 
 }  // namespace hsw::core

@@ -7,7 +7,9 @@ namespace hsw::meter {
 namespace cal = hsw::arch::cal;
 
 Lmg450::Lmg450(std::function<Power()> true_ac_power, std::uint64_t seed)
-    : true_ac_power_{std::move(true_ac_power)}, rng_{seed} {}
+    : true_ac_power_{std::move(true_ac_power)}, rng_{seed} {
+    series_.reserve(kReservedSamples);
+}
 
 MeterSample Lmg450::sample(Time now) {
     const double truth = true_ac_power_().as_watts();

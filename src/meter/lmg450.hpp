@@ -38,6 +38,10 @@ public:
     [[nodiscard]] Power average(Time from, Time to) const;
 
     static constexpr Time kSamplePeriod = Time::ms(50);  // 20 Sa/s
+    /// Samples the series holds before its first reallocation: one
+    /// simulated minute, so a node's steady state samples without
+    /// allocating.
+    static constexpr std::size_t kReservedSamples = 1200;
 
 private:
     std::function<Power()> true_ac_power_;

@@ -257,23 +257,44 @@ void SurveyService::note_rejection(ErrorCode code, const std::string& subject,
 std::shared_ptr<const SurveyService::Registry> SurveyService::registry_for(
     const protocol::Request& request) {
     const std::string key = registry_key(request);
+    auto touch = [this](const RegistrySlot& slot) {
+        slot.last_used.store(registry_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                             std::memory_order_relaxed);
+        return slot.registry;
+    };
     {
         // Fast path: memoized tuples are read under the shared lock, so
         // concurrent queries never serialize here.
         util::SharedLockGuard lock{registry_lock_};
         if (const auto it = registries_.find(key); it != registries_.end()) {
-            return it->second;
+            return touch(it->second);
         }
     }
     util::ExclusiveLockGuard lock{registry_lock_};
     if (const auto it = registries_.find(key); it != registries_.end()) {
-        return it->second;  // another writer built it between the locks
+        return touch(it->second);  // another writer built it between the locks
     }
     auto registry = std::make_shared<Registry>();
     registry->experiments = cfg_.registry_factory(request);
     registry->index = std::make_unique<engine::JobIndex>(registry->experiments);
-    registries_.emplace(key, registry);
-    return registry;
+    if (registries_.size() >= kMaxRegistries) {
+        auto oldest = registries_.begin();
+        for (auto it = registries_.begin(); it != registries_.end(); ++it) {
+            if (it->second.last_used.load(std::memory_order_relaxed) <
+                oldest->second.last_used.load(std::memory_order_relaxed)) {
+                oldest = it;
+            }
+        }
+        registries_.erase(oldest);
+    }
+    RegistrySlot& slot = registries_[key];
+    slot.registry = std::move(registry);
+    return touch(slot);
+}
+
+std::size_t SurveyService::registry_count() const {
+    util::SharedLockGuard lock{registry_lock_};
+    return registries_.size();
 }
 
 SurveyService::StartedJob SurveyService::start_job(

@@ -61,8 +61,9 @@ struct ServiceConfig {
     /// Test seam: builds the experiment registry a request resolves
     /// against. Defaults to survey_experiments() with the request's
     /// seed/audit/quick folded into SurveyTuning. Registries are memoized
-    /// per (seed, audit, quick) for the life of the service, so returned
-    /// Job objects must be self-contained.
+    /// per (seed, audit, quick), the SurveyService::kMaxRegistries most
+    /// recently used at a time, so returned Job objects must be
+    /// self-contained.
     std::function<std::vector<engine::Experiment>(const protocol::Request&)>
         registry_factory;
 };
@@ -137,6 +138,13 @@ public:
     [[nodiscard]] bool shutdown_requested() const;
 
     [[nodiscard]] ServiceStats stats() const;
+    /// Registries memoized right now (at most kMaxRegistries).
+    [[nodiscard]] std::size_t registry_count() const EXCLUDES(registry_lock_);
+
+    /// Registries kept at once; the least recently used one is evicted to
+    /// make room. Each holds a survey's experiment list and job index.
+    static constexpr std::size_t kMaxRegistries = 64;
+
     /// Admission rejections as structured diagnostics (snapshot copy).
     [[nodiscard]] std::vector<analysis::Diagnostic> admission_diagnostics() const
         EXCLUDES(diag_lock_);
@@ -145,6 +153,11 @@ private:
     struct Registry {
         std::vector<engine::Experiment> experiments;
         std::unique_ptr<engine::JobIndex> index;
+    };
+    struct RegistrySlot {
+        std::shared_ptr<const Registry> registry;
+        /// registry_clock_ at the last lookup; bumped under the shared lock.
+        mutable std::atomic<std::uint64_t> last_used{0};
     };
     struct JobOutcome {
         protocol::ErrorCode code = protocol::ErrorCode::None;
@@ -182,10 +195,12 @@ private:
     RequestCoalescer coalescer_;
 
     // Reader-writer: every query resolves a registry, but new (seed,
-    // audit, quick) tuples are rare -- reads must not serialize.
+    // audit, quick) tuples are rare -- reads must not serialize. A bounded
+    // LRU: eviction only drops the map's reference, and in-flight queries
+    // keep theirs alive.
     mutable util::SharedMutex registry_lock_;
-    std::map<std::string, std::shared_ptr<const Registry>> registries_
-        GUARDED_BY(registry_lock_);
+    std::map<std::string, RegistrySlot> registries_ GUARDED_BY(registry_lock_);
+    std::atomic<std::uint64_t> registry_clock_{0};
 
     // Bounded work queue + workers.
     util::Mutex pool_lock_;

@@ -50,10 +50,10 @@ struct EventId {
 
 class Simulator {
 public:
-    /// Inline capture budget for event callbacks. Sized for the largest
-    /// hot-path capture (the PCU grant-apply lambda: this + socket id +
-    /// PcuOutputs) so every scheduling call in the simulation core stays
-    /// allocation-free.
+    /// Inline capture budget for event callbacks. The simulation core's
+    /// callbacks capture a few words (the PCU grant-apply lambda: this +
+    /// socket id, reading the socket's staged grant), so every scheduling
+    /// call stays allocation-free.
     static constexpr std::size_t kCallbackInlineBytes = 88;
     using Callback = util::InlineFunction<void(Time), kCallbackInlineBytes>;
 

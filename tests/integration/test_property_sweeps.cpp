@@ -2,6 +2,8 @@
 // whole parameter grids, not just the paper's example points.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/node.hpp"
 #include "pcu/pcu.hpp"
 #include "tools/ftalat.hpp"
@@ -56,6 +58,12 @@ struct BudgetCase {
     const arch::Sku* sku;
     const workloads::Workload* workload;
 };
+
+// Names the case by SKU and workload; gtest's default print of the two
+// pointers (and so the ctest name) would change with the load address.
+void PrintTo(const BudgetCase& c, std::ostream* os) {
+    *os << c.sku->model << " / " << c.workload->name;
+}
 
 class PcuBudgetSweep : public ::testing::TestWithParam<BudgetCase> {};
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "arch/sku.hpp"
 #include "pcu/uncore_scaling.hpp"
 
@@ -18,16 +20,21 @@ UfsInputs base_inputs() {
 }
 
 // --- The Table III ladder, parameterized over every row. ---
+// The ratio is 64 bits wide so the struct has no padding: gtest prints the
+// parameter as its raw bytes, and ctest names the cases by that print, so
+// indeterminate padding bytes would give the cases different names per run.
 struct LadderRow {
-    unsigned core_ratio;
+    std::uint64_t core_ratio;
     double uncore_ghz;
 };
+static_assert(sizeof(LadderRow) == sizeof(std::uint64_t) + sizeof(double));
 
 class LadderSweep : public ::testing::TestWithParam<LadderRow> {};
 
 TEST_P(LadderSweep, MatchesTable3) {
     const auto [ratio, expected] = GetParam();
-    EXPECT_NEAR(ladder_frequency(ratio).as_ghz(), expected, 1e-9) << "ratio " << ratio;
+    EXPECT_NEAR(ladder_frequency(static_cast<unsigned>(ratio)).as_ghz(), expected, 1e-9)
+        << "ratio " << ratio;
 }
 
 INSTANTIATE_TEST_SUITE_P(

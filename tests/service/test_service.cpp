@@ -513,6 +513,58 @@ TEST(ServiceTest, MetricsVerbServesBothExpositionFormats) {
     obs::set_metrics_enabled(false);
 }
 
+TEST(ServiceTest, RegistryMapStaysBoundedAcrossFreshSeeds) {
+    // Every fresh seed builds a registry; the map keeps only the most
+    // recently used kMaxRegistries, and a rebuilt registry answers with the
+    // same bytes as the evicted one did.
+    TestRegistry registry;
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.hot_cache.max_bytes = 8;  // no response caching: every query resolves
+    cfg.hot_cache.shards = 1;     // its registry
+    cfg.registry_factory = [inner = registry.factory(), builds](const protocol::Request& r) {
+        builds->fetch_add(1);
+        return inner(r);
+    };
+    SurveyService svc{cfg};
+    auto query_seed = [&svc](std::uint64_t seed) {
+        protocol::Request req = query_request("toy");
+        req.seed = seed;
+        const auto r = svc.query(req);
+        EXPECT_TRUE(r.ok()) << r.message;
+        return r.ok() ? *r.payload : std::string{};
+    };
+
+    constexpr std::uint64_t kSeeds = 1000;
+    std::vector<std::string> first(kSeeds + 1);
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        first[seed] = query_seed(seed);
+        ASSERT_LE(svc.registry_count(), SurveyService::kMaxRegistries);
+    }
+    EXPECT_EQ(svc.registry_count(), SurveyService::kMaxRegistries);
+    EXPECT_EQ(builds->load(), static_cast<int>(kSeeds));
+
+    // Second pass: every registry was evicted and is rebuilt, byte-identical.
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        ASSERT_EQ(query_seed(seed), first[seed]) << "seed " << seed;
+    }
+    EXPECT_EQ(builds->load(), static_cast<int>(2 * kSeeds));
+    EXPECT_EQ(svc.registry_count(), SurveyService::kMaxRegistries);
+
+    // Least recently used goes first: touch the oldest entry, add a seed,
+    // and the next-oldest is the one evicted.
+    const std::uint64_t oldest = kSeeds - SurveyService::kMaxRegistries + 1;
+    EXPECT_EQ(query_seed(oldest), first[oldest]);
+    EXPECT_EQ(builds->load(), static_cast<int>(2 * kSeeds));  // still cached
+    query_seed(kSeeds + 1);
+    EXPECT_EQ(builds->load(), static_cast<int>(2 * kSeeds + 1));
+    query_seed(oldest);
+    EXPECT_EQ(builds->load(), static_cast<int>(2 * kSeeds + 1));  // survived
+    query_seed(oldest + 1);
+    EXPECT_EQ(builds->load(), static_cast<int>(2 * kSeeds + 2));  // was evicted
+}
+
 TEST(ServiceTest, StatsCountProvenancePerJob) {
     TestRegistry registry;
     ServiceConfig cfg;

@@ -3,43 +3,13 @@
 // allocation-free steady-state guarantee.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "support/heap_counter.hpp"
 #include "util/inline_function.hpp"
-
-// Binary-wide replaceable allocation counter: the steady-state test
-// brackets a dispatch window and asserts the simulator made zero trips to
-// the allocator. Pass-through otherwise, so every other test in this
-// binary is unaffected.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-// noinline keeps the malloc/free bodies opaque at call sites; with them
-// inlined, GCC's -Wmismatched-new-delete pairs the exposed free() against
-// `new` expressions and misfires (seen under -fsanitize=thread).
-#if defined(__GNUC__)
-#define HSW_TEST_NOINLINE __attribute__((noinline))
-#else
-#define HSW_TEST_NOINLINE
-#endif
-
-HSW_TEST_NOINLINE void* operator new(std::size_t size) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc{};
-}
-
-HSW_TEST_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
-HSW_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
-    std::free(p);
-}
 
 namespace hsw::sim {
 namespace {
@@ -200,9 +170,9 @@ TEST(EventEngine, SteadyStateDispatchIsAllocationFree) {
     const std::uint64_t fired_warm = fired;
 
     const std::uint64_t inline_spills_before = util::inline_function_heap_allocations();
-    const std::uint64_t heap_allocs_before = g_heap_allocs.load();
+    const std::uint64_t heap_allocs_before = test_support::heap_allocations();
     sim.run_until(Time::ms(2));
-    const std::uint64_t heap_allocs_after = g_heap_allocs.load();
+    const std::uint64_t heap_allocs_after = test_support::heap_allocations();
     const std::uint64_t inline_spills_after = util::inline_function_heap_allocations();
     const auto steady = sim.memory_stats();
 
