@@ -281,10 +281,7 @@ void Node::install_msrs() {
 
 void Node::set_workload(unsigned cpu, const workloads::Workload* w, unsigned threads) {
     sync();
-    SimCore& c = sockets_[socket_of(cpu)]->cores()[core_of(cpu)];
-    c.workload = w;
-    c.threads = std::clamp(threads, 1u, 2u);
-    c.state = cstates::CState::C0;
+    sockets_[socket_of(cpu)]->assign_workload(core_of(cpu), w, std::clamp(threads, 1u, 2u));
 }
 
 void Node::clear_workload(unsigned cpu) {

@@ -1,6 +1,8 @@
 #include "core/socket.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -12,6 +14,36 @@
 namespace hsw::core {
 
 namespace cal = hsw::arch::cal;
+
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+}  // namespace
+
+double Socket::CdynCache::lookup(const SimCore& c, Time t) {
+    const bool ht = c.threads >= 2;
+    std::size_t slot = slots_.size();
+    for (std::size_t i = 0; i < size_ && slot == slots_.size(); ++i) {
+        const Slot& s = slots_[i];
+        if (s.workload != c.workload || s.ht != ht) continue;
+        last_ = i;
+        if (s.from <= t && t <= s.through) return s.cdyn;
+        slot = i;
+    }
+    if (slot == slots_.size() && size_ < slots_.size()) slot = size_++;
+    if (slot == slots_.size()) {
+        slot = next_;
+        next_ = (next_ + 1) % slots_.size();
+    }
+    last_ = slot;
+    slots_[slot] = Slot{.workload = c.workload,
+                 .ht = ht,
+                 .from = t,
+                 .through = c.workload->steady_through(t),
+                 .cdyn = c.workload->cdyn_at(t, ht)};
+    return slots_[slot].cdyn;
+}
 
 Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
                rapl::DramMode dram_mode, std::uint64_t seed)
@@ -31,6 +63,10 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
                                     sku.uncore_max)
                          .as_gb_per_sec()},
       core_states_(sku.cores) {
+    for (OperatingPoint& p : points_) {
+        p.keys.resize(sku.cores);
+        p.terms.resize(sku.cores);
+    }
     pcu_in_.cores.resize(sku.cores);
     util::Rng rng{seed * 131 + 7};
     for (auto& c : cores_) {
@@ -45,6 +81,8 @@ Socket::Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
     }
 }
 
+// hsw:hot-path -- every event syncs both sockets and every opportunity
+// tick fills the PCU inputs; neither allocates.
 void Socket::fill_pcu_inputs(pcu::PcuInputs& in, Time now, bool system_active,
                              Frequency fastest_system_core) const {
     double traffic = 0.0;
@@ -57,11 +95,10 @@ void Socket::fill_pcu_inputs(pcu::PcuInputs& in, Time now, bool system_active,
         ci.requested_ratio = c.requested_ratio;
         ci.hwp_request_raw = c.hwp_request_raw;
         if (c.state == cstates::CState::C0 && c.workload != nullptr) {
-            const bool ht = c.threads >= 2;
             ci.avx_fraction = c.workload->avx_fraction;
             ci.avx512_fraction = c.workload->avx512_fraction;
             ci.stall_fraction = c.workload->stall_fraction;
-            ci.cdyn_utilization = c.workload->cdyn_at(now, ht);
+            ci.cdyn_utilization = cdyn_.of(c, now);
             traffic += c.workload->uncore_traffic;
             current_intensity = std::max(current_intensity, c.workload->current_intensity);
         }
@@ -79,71 +116,6 @@ void Socket::fill_pcu_inputs(pcu::PcuInputs& in, Time now, bool system_active,
     in.hwp_request_pkg_raw = hwp_request_pkg_raw_;
 }
 
-// hsw:hot-path -- every event syncs both sockets; one pass over the cores
-// integrates the counters and gathers the energy inputs at the operating
-// point that held since the last update.
-void Socket::advance_to(Time now) {
-    const Time dt = now - last_update_;
-    if (dt <= Time::zero()) {
-        last_update_ = now;
-        return;
-    }
-    const double seconds = dt.as_seconds();
-
-    const double tsc_ticks = sku_->nominal_frequency.as_hz() * seconds;
-    Power cores_power = power::socket_static_power();
-    double uncore_traffic = 0.0;
-    double dram_demand = 0.0;
-    rapl::ActivityVector av;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        SimCore& c = cores_[i];
-        core_states_[i] = c.state;
-        cores_power += core_power_at(c, last_update_);
-        // --- core counters ---
-        if (c.state == cstates::CState::C3) c.c3_residency += tsc_ticks;
-        if (c.state == cstates::CState::C6) c.c6_residency += tsc_ticks;
-        if (c.state != cstates::CState::C0) continue;
-        const double cycles = c.frequency.as_hz() * seconds;
-        c.aperf += cycles;
-        c.core_cycles += cycles;
-        c.mperf += sku_->nominal_frequency.as_hz() * seconds;
-        if (c.workload == nullptr) continue;
-        const bool ht = c.threads >= 2;
-        const double ratio =
-            uncore_freq_ > Frequency::zero() ? c.frequency / uncore_freq_ : 1.0;
-        const double ipc = c.workload->ipc(ratio, ht);
-        const double throughput = ipc * c.throughput_factor;
-        c.instructions += throughput * cycles;
-        c.stall_cycles += c.workload->stall_fraction * cycles;
-        // --- energy inputs ---
-        uncore_traffic += c.workload->uncore_traffic;
-        dram_demand += dram_demand_gbs(c);
-        const double f = c.frequency.as_hz();
-        av.core_cycles_per_s += f;
-        av.uops_per_s += ipc * f * 1.12;  // fused-uop expansion estimate
-        av.avx_ops_per_s += ipc * f * c.workload->avx_fraction;
-    }
-
-    // --- uncore clock counter ---
-    if (!uncore_halted_) uncore_cycles_ += uncore_freq_.as_hz() * seconds;
-
-    // --- package C-state residency ---
-    const auto pkg_state = cstates::resolve_package_state(core_states_, system_active_hint_);
-    if (pkg_state == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
-    if (pkg_state == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
-
-    // --- energy ---
-    const Power pkg = with_uncore_power(cores_power, uncore_traffic);
-    const Bandwidth dram_bw = dram_traffic(dram_demand);
-    av.dram_gbs = dram_bw.as_gb_per_sec();
-    if (!uncore_halted_) av.uncore_cycles_per_s = uncore_freq_.as_hz();
-    rapl_.integrate(pkg, power::dram_power(dram_bw), av, dt);
-    thermal_.advance(pkg, dt);
-
-    last_update_ = now;
-}
-// hsw:end-hot-path
-
 const pcu::PcuOutputs* Socket::pcu_tick(Time now, bool system_active,
                                         Frequency fastest_system_core) {
     fill_pcu_inputs(pcu_in_, now, system_active, fastest_system_core);
@@ -157,6 +129,172 @@ const pcu::PcuOutputs* Socket::pcu_tick(Time now, bool system_active,
                   out.cores[i].throughput_factor != cores_[i].throughput_factor;
     }
     return changed ? &out : nullptr;
+}
+
+// Clocks, voltages and workloads move only at grants, assignments, parks
+// and wakes, and cdyn only at a modulated workload's phase changes, so
+// most advances find the operating point in force, or one the socket
+// dithered away from, unchanged. A new one re-evaluates only the cores
+// whose key moved and sums the terms in core order, exactly as a fresh
+// pass would.
+Socket::CoreKey Socket::key_of(const SimCore& c) const {
+    return CoreKey{.valid = true,
+                   .state = c.state,
+                   .workload = c.workload,
+                   .threads = c.threads,
+                   .frequency_bits = bits(c.frequency.as_hz()),
+                   .voltage_bits = bits(c.voltage.as_volts()),
+                   .cdyn_bits = bits(cdyn_.of(c, last_update_))};
+}
+
+bool Socket::matches(const OperatingPoint& p) const {
+    if (!p.valid || p.uncore_frequency_bits != bits(uncore_freq_.as_hz()) ||
+        p.uncore_voltage_bits != bits(uncore_voltage_.as_volts()) ||
+        p.uncore_halted != uncore_halted_ || p.system_active != system_active_hint_) {
+        return false;
+    }
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const SimCore& c = cores_[i];
+        const CoreKey& k = p.keys[i];
+        if (!k.valid || k.state != c.state || k.workload != c.workload ||
+            k.threads != c.threads || k.frequency_bits != bits(c.frequency.as_hz()) ||
+            k.voltage_bits != bits(c.voltage.as_volts())) {
+            return false;
+        }
+        // cdyn is a function of the C-state, workload and threading at one
+        // instant: a core that shares them and its cdyn bits with the core
+        // before it, already checked, needs no evaluation.
+        const CoreKey* prev = i > 0 ? &p.keys[i - 1] : nullptr;
+        if (prev != nullptr && prev->state == k.state && prev->workload == k.workload &&
+            prev->threads == k.threads && prev->cdyn_bits == k.cdyn_bits) {
+            continue;
+        }
+        if (k.cdyn_bits != bits(cdyn_.of(c, last_update_))) return false;
+    }
+    return true;
+}
+
+void Socket::refresh_operating_point() {
+    const std::uint64_t use = counters_.advances;
+    std::size_t victim = current_ == 0 ? 1 : 0;
+    for (std::size_t j = 0; j < points_.size(); ++j) {
+        const std::size_t k = (current_ + j) % points_.size();
+        if (matches(points_[k])) {
+            current_ = k;
+            points_[k].last_use = use;
+            ++counters_.operating_point_reuses;
+            return;
+        }
+        if (k != current_ && points_[k].last_use < points_[victim].last_use) victim = k;
+    }
+
+    // Evaluate into the least recently used slot, keeping the terms of the
+    // cores whose key held. IPC reads the core/uncore clock ratio, so an
+    // uncore clock move re-evaluates every core.
+    const OperatingPoint& from = points_[current_];
+    OperatingPoint& to = points_[victim];
+    const bool uncore_moved = from.uncore_frequency_bits != bits(uncore_freq_.as_hz());
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        to.keys[i] = key_of(cores_[i]);
+        if (from.valid && !uncore_moved && from.keys[i] == to.keys[i]) {
+            to.terms[i] = from.terms[i];
+            continue;
+        }
+        ++counters_.core_terms;
+        const SimCore& c = cores_[i];
+        CoreTerm& t = to.terms[i];
+        t = CoreTerm{.power = core_power_term(c, cdyn_.of(c, last_update_))};
+        if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
+        const double ratio =
+            uncore_freq_ > Frequency::zero() ? c.frequency / uncore_freq_ : 1.0;
+        t.ipc = c.workload->ipc(ratio, c.threads >= 2);
+        t.dram_gbs = dram_demand_gbs(c);
+    }
+
+    Power cores_power = power::socket_static_power();
+    double uncore_traffic = 0.0;
+    double dram_demand = 0.0;
+    rapl::ActivityVector av;
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        const SimCore& c = cores_[i];
+        const CoreTerm& t = to.terms[i];
+        core_states_[i] = c.state;
+        cores_power += t.power;
+        if (c.state != cstates::CState::C0 || c.workload == nullptr) continue;
+        uncore_traffic += c.workload->uncore_traffic;
+        dram_demand += t.dram_gbs;
+        const double f = c.frequency.as_hz();
+        av.core_cycles_per_s += f;
+        av.uops_per_s += t.ipc * f * 1.12;  // fused-uop expansion estimate
+        av.avx_ops_per_s += t.ipc * f * c.workload->avx_fraction;
+    }
+    const Bandwidth dram_bw = dram_traffic(dram_demand);
+    av.dram_gbs = dram_bw.as_gb_per_sec();
+    if (!uncore_halted_) av.uncore_cycles_per_s = uncore_freq_.as_hz();
+    to.valid = true;
+    to.last_use = use;
+    to.uncore_frequency_bits = bits(uncore_freq_.as_hz());
+    to.uncore_voltage_bits = bits(uncore_voltage_.as_volts());
+    to.uncore_halted = uncore_halted_;
+    to.system_active = system_active_hint_;
+    to.package = with_uncore_power(cores_power, uncore_traffic);
+    to.dram = power::dram_power(dram_bw);
+    to.activity = av;
+    to.package_state = cstates::resolve_package_state(core_states_, system_active_hint_);
+    current_ = victim;
+}
+
+// One pass over the cores integrates the counters at the operating point
+// that held since the last update; the energy inputs come from the memo.
+void Socket::advance_to(Time now) {
+    const Time dt = now - last_update_;
+    if (dt <= Time::zero()) {
+        last_update_ = now;
+        return;
+    }
+    ++counters_.advances;
+    refresh_operating_point();
+    const OperatingPoint& op = points_[current_];
+    const double seconds = dt.as_seconds();
+
+    const double tsc_ticks = sku_->nominal_frequency.as_hz() * seconds;
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        SimCore& c = cores_[i];
+        if (c.state == cstates::CState::C3) c.c3_residency += tsc_ticks;
+        if (c.state == cstates::CState::C6) c.c6_residency += tsc_ticks;
+        if (c.state != cstates::CState::C0) continue;
+        const double cycles = c.frequency.as_hz() * seconds;
+        c.aperf += cycles;
+        c.core_cycles += cycles;
+        c.mperf += sku_->nominal_frequency.as_hz() * seconds;
+        if (c.workload == nullptr) continue;
+        const double throughput = op.terms[i].ipc * c.throughput_factor;
+        c.instructions += throughput * cycles;
+        c.stall_cycles += c.workload->stall_fraction * cycles;
+    }
+
+    // --- uncore clock counter ---
+    if (!uncore_halted_) uncore_cycles_ += uncore_freq_.as_hz() * seconds;
+
+    // --- package C-state residency ---
+    if (op.package_state == cstates::PackageCState::PC3) pkg_c3_residency_ += tsc_ticks;
+    if (op.package_state == cstates::PackageCState::PC6) pkg_c6_residency_ += tsc_ticks;
+
+    // --- energy ---
+    rapl_.integrate(op.package, op.dram, op.activity, dt);
+    thermal_.advance(op.package, dt);
+
+    last_update_ = now;
+}
+// hsw:end-hot-path
+
+void Socket::assign_workload(std::size_t core, const workloads::Workload* w, unsigned threads) {
+    SimCore& c = cores_[core];
+    c.workload = w;
+    c.threads = threads;
+    c.state = cstates::CState::C0;
+    for (OperatingPoint& p : points_) p.keys[core].valid = false;
+    cdyn_.clear();
 }
 
 void Socket::stage_grants(const pcu::PcuOutputs& out) {
@@ -207,13 +345,10 @@ unsigned Socket::active_core_count() const {
         }));
 }
 
-Power Socket::core_power_at(const SimCore& c, Time now) const {
-    const bool running = c.state == cstates::CState::C0;
+Power Socket::core_power_term(const SimCore& c, double cdyn) const {
     const power::CoreActivity activity{
-        .cdyn_utilization = (running && c.workload != nullptr)
-                                ? c.workload->cdyn_at(now, c.threads >= 2)
-                                : 0.0,
-        .clock_running = running,
+        .cdyn_utilization = cdyn,
+        .clock_running = c.state == cstates::CState::C0,
         .power_gated = cstates::power_gated(c.state),
     };
     return power::core_power(activity, c.voltage, c.frequency);
@@ -229,7 +364,7 @@ Power Socket::current_package_power(Time now) const {
     Power total = power::socket_static_power();
     double traffic = 0.0;
     for (const SimCore& c : cores_) {
-        total += core_power_at(c, now);
+        total += core_power_term(c, cdyn_.of(c, now));
         if (c.state == cstates::CState::C0 && c.workload != nullptr) {
             traffic += c.workload->uncore_traffic;
         }

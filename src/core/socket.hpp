@@ -3,9 +3,14 @@
 // Between events all state is constant, so the socket integrates counters
 // and energy in closed form in advance_to(). The PCU evaluates on the
 // 500 us opportunity grid; grants take effect after the FIVR/PLL switching
-// time, which is what the FTaLaT-style tools measure.
+// time, which is what the FTaLaT-style tools measure. Clocks move only on
+// that grid, so the socket memoizes its operating point (per-core power,
+// IPC and DRAM terms, and their socket-wide sums) and re-evaluates only
+// what a changed key touches.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,6 +67,14 @@ struct SimCore {
     double vf_factor = 1.0;
 };
 
+/// Work counters of one socket's time integration (plain members: a
+/// socket is driven by the one thread that runs its node).
+struct SocketCounters {
+    std::uint64_t advances = 0;               // advance_to() calls that integrated (dt > 0)
+    std::uint64_t operating_point_reuses = 0; // advances that reused the memoized aggregate
+    std::uint64_t core_terms = 0;             // per-core terms evaluated (memo misses)
+};
+
 class Socket {
 public:
     Socket(const arch::Sku& sku, unsigned socket_id, bool turbo_enabled,
@@ -71,6 +84,13 @@ public:
     /// Integrate counters/energy from the last update to `now` assuming the
     /// current operating point, then remember `now`.
     void advance_to(Time now);
+
+    /// Run `w` (null: no thread) on core `core` with `threads` hardware
+    /// threads and put the core in C0. Always drops the core's memoized
+    /// term, so a workload rebuilt in place at the same address is seen
+    /// afresh; a workload's fields must not change while cores run it
+    /// unless it is assigned again.
+    void assign_workload(std::size_t core, const workloads::Workload* w, unsigned threads);
 
     /// One PCU opportunity-grid evaluation. Returns the grants to apply
     /// after the switching delay, or null when nothing changes. The grants
@@ -107,6 +127,7 @@ public:
     [[nodiscard]] const mem::BandwidthModel& bandwidth_model() const { return bw_model_; }
     [[nodiscard]] const arch::DieTopology& topology() const { return topo_; }
     [[nodiscard]] const power::ThermalModel& thermal() const { return thermal_; }
+    [[nodiscard]] const SocketCounters& counters() const { return counters_; }
 
     void set_epb(msr::EpbPolicy p) { epb_ = p; }
     [[nodiscard]] msr::EpbPolicy epb() const { return epb_; }
@@ -146,12 +167,95 @@ public:
     [[nodiscard]] Bandwidth achieved_dram_bandwidth() const;
 
 private:
+    /// What a core's terms depend on, compared bitwise. Assigning a
+    /// workload clears `valid` in every remembered operating point, so no
+    /// key matches across an assignment.
+    struct CoreKey {
+        bool valid = false;
+        cstates::CState state = cstates::CState::C6;
+        const workloads::Workload* workload = nullptr;
+        unsigned threads = 0;
+        std::uint64_t frequency_bits = 0;
+        std::uint64_t voltage_bits = 0;
+        std::uint64_t cdyn_bits = 0;
+        bool operator==(const CoreKey&) const = default;
+    };
+    /// A core's power term, and its IPC and DRAM demand if it runs a
+    /// workload in C0.
+    struct CoreTerm {
+        Power power;
+        double ipc = 0.0;
+        double dram_gbs = 0.0;
+    };
+    /// One remembered operating point: the per-core keys and terms, the
+    /// uncore/package key, and the socket-wide energy inputs summed from
+    /// the terms.
+    struct OperatingPoint {
+        bool valid = false;
+        std::uint64_t last_use = 0;  // advance count, for eviction
+        std::vector<CoreKey> keys;
+        std::vector<CoreTerm> terms;
+        std::uint64_t uncore_frequency_bits = 0;
+        std::uint64_t uncore_voltage_bits = 0;
+        bool uncore_halted = false;
+        bool system_active = false;
+        Power package;  // static + cores + uncore
+        Power dram;
+        rapl::ActivityVector activity;
+        cstates::PackageCState package_state = cstates::PackageCState::PC0;
+    };
+    /// A TDP-limited socket dithers between neighbouring grants, so a few
+    /// operating points are remembered, not just the last.
+    static constexpr std::size_t kOperatingPoints = 4;
+
     /// The PCU inputs for the current state (modulation evaluated at
     /// `now`), written over every field of `in`.
     void fill_pcu_inputs(pcu::PcuInputs& in, Time now, bool system_active,
                          Frequency fastest_system_core) const;
-    /// One core's power at the current operating point.
-    [[nodiscard]] Power core_power_at(const SimCore& c, Time now) const;
+    /// The cdyn of each running (workload, threading), kept while the
+    /// workload's modulation factor provably holds
+    /// (Workload::steady_through): for good under a constant load, up to
+    /// the next phase switch of a square wave, one instant for a sinusoid.
+    /// So cdyn_at() runs once per phase and pair, not per core and event.
+    class CdynCache {
+    public:
+        /// cdyn_at(t) for a C0 core that runs a workload, else 0.
+        double of(const SimCore& c, Time t) {
+            if (c.state != cstates::CState::C0 || c.workload == nullptr) return 0.0;
+            const Slot& s = slots_[last_];
+            if (s.workload == c.workload && s.ht == (c.threads >= 2) && s.from <= t &&
+                t <= s.through) {
+                return s.cdyn;
+            }
+            return lookup(c, t);
+        }
+        void clear() { size_ = last_ = 0; slots_[0] = Slot{}; }
+
+    private:
+        struct Slot {
+            const workloads::Workload* workload = nullptr;
+            bool ht = false;
+            Time from;
+            Time through;
+            double cdyn = 0.0;
+        };
+        /// The slot for the core's pair, evaluated afresh if it lapsed.
+        double lookup(const SimCore& c, Time t);
+
+        std::array<Slot, 8> slots_{};
+        std::size_t size_ = 0;
+        std::size_t last_ = 0;  // the slot that answered last
+        std::size_t next_ = 0;  // replaced next once every slot is taken
+    };
+
+    /// Select the remembered operating point that matches the current
+    /// state (cdyn evaluated at the last update), or evaluate it.
+    void refresh_operating_point();
+    [[nodiscard]] CoreKey key_of(const SimCore& c) const;
+    /// Whether `p` was evaluated at the current state.
+    [[nodiscard]] bool matches(const OperatingPoint& p) const;
+    /// One core's power given its cdyn utilization.
+    [[nodiscard]] Power core_power_term(const SimCore& c, double cdyn) const;
     /// Add the uncore's power to the cores' total, given the running
     /// workloads' summed uncore traffic.
     [[nodiscard]] Power with_uncore_power(Power cores, double traffic_sum) const;
@@ -190,6 +294,11 @@ private:
     // Reused buffers: advance_to() and pcu_tick() run for every event and
     // every opportunity tick, and allocate nothing.
     std::vector<cstates::CState> core_states_;
+    std::array<OperatingPoint, kOperatingPoints> points_;
+    std::size_t current_ = 0;  // the operating point in force
+    // A memo of a pure function, filled by the const queries too.
+    mutable CdynCache cdyn_;
+    SocketCounters counters_;
     pcu::PcuInputs pcu_in_;
     pcu::PcuOutputs staged_grants_;
     bool grants_staged_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 namespace hsw::workloads {
@@ -22,6 +23,31 @@ double Workload::modulation_factor(Time t) const {
         }
     }
     return 1.0;
+}
+
+Time Workload::steady_through(Time t) const {
+    if (modulation == Modulation::Constant) return Time::max();
+    if (modulation != Modulation::SquareWave || t < Time::zero()) return t;
+    // fmod() is exact and t.as_seconds() is monotone in t, so the factor
+    // switches where the exact phase crosses a half period: switches lie
+    // half a period apart, and a quarter period after `t` holds at most
+    // one. Bisect for it.
+    const double period = std::max(modulation_period_s, 1e-9);
+    const auto quarter_ns = static_cast<std::int64_t>(period * 0.25e9);
+    if (quarter_ns < 2) return t;
+    const double factor = modulation_factor(t);
+    Time held = t;
+    Time moved = t + Time::ns(quarter_ns);
+    if (modulation_factor(moved) == factor) return moved;
+    while (moved - held > Time::ns(1)) {
+        const Time mid = held + Time::ns((moved - held).as_ns() / 2);
+        if (modulation_factor(mid) == factor) {
+            held = mid;
+        } else {
+            moved = mid;
+        }
+    }
+    return held;
 }
 
 double Workload::cdyn_at(Time t, bool hyperthreading) const {

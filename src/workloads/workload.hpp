@@ -63,6 +63,11 @@ struct Workload {
     /// Utilization multiplier at simulation time `t` (1.0 for constant load).
     [[nodiscard]] double modulation_factor(Time t) const;
 
+    /// The last instant through which modulation_factor() keeps the value
+    /// it has at `t` (`t` itself for a sinusoid, Time::max() for a
+    /// constant load).
+    [[nodiscard]] Time steady_through(Time t) const;
+
     /// Effective cdyn at time `t` for the given threading.
     [[nodiscard]] double cdyn_at(Time t, bool hyperthreading) const;
 

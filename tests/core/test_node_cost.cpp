@@ -1,6 +1,7 @@
 // Steady-state cost guarantees of the node model: a TDP-limited
-// FIRESTARTER run makes no heap allocations, and its PCU ticks reuse the
-// memoized power terms and budget searches instead of re-evaluating them.
+// FIRESTARTER run makes no heap allocations, its PCU ticks reuse the
+// memoized power terms and budget searches instead of re-evaluating them,
+// and its sockets' advances reuse the memoized operating point.
 // None of it may hide the p-state grid's records from trace observers.
 #include <gtest/gtest.h>
 
@@ -55,6 +56,29 @@ TEST(NodeCost, SteadyFirestarterSecondReusesPowerTermsAndSearches) {
         // The dithering operating point revisits a handful of search
         // inputs; nearly every tick reuses one.
         EXPECT_GT(reuses * 100, ticks * 99) << "socket " << s;
+    }
+}
+
+TEST(NodeCost, SteadyFirestarterSecondReusesOperatingPoint) {
+    Node node;
+    node.set_all_workloads(&workloads::firestarter(), 2);
+    node.request_turbo_all();
+    node.run_for(Time::ms(50));  // settle the p-states and the licenses
+
+    SocketCounters before[2];
+    for (unsigned s = 0; s < 2; ++s) before[s] = node.socket(s).counters();
+    node.run_for(Time::sec(1));
+    for (unsigned s = 0; s < 2; ++s) {
+        const SocketCounters& after = node.socket(s).counters();
+        const std::uint64_t advances = after.advances - before[s].advances;
+        const std::uint64_t reuses =
+            after.operating_point_reuses - before[s].operating_point_reuses;
+        // Both sockets' grid ticks, the RAPL refreshes and the meter: at
+        // least ~5000 integrating advances per socket-second.
+        EXPECT_GT(advances, 4000u) << "socket " << s;
+        // Clocks move only when a grant changes them; between grants the
+        // operating point holds.
+        EXPECT_GT(reuses * 100, advances * 95) << "socket " << s;
     }
 }
 

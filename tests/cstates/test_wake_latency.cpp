@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cstates/wake_latency.hpp"
 #include "util/rng.hpp"
 
@@ -127,6 +129,12 @@ struct OrderingParam {
     CState state;
     int freq_x10;
 };
+
+// Names the case by state and clock; gtest's default print of the struct's
+// bytes (and so the ctest name) would hold spaces.
+void PrintTo(const OrderingParam& p, std::ostream* os) {
+    *os << name(p.state) << "At" << p.freq_x10 * 100 << "MHz";
+}
 
 class ScenarioOrdering : public ::testing::TestWithParam<OrderingParam> {};
 

@@ -23,6 +23,10 @@ struct FreqPair {
     unsigned to;
 };
 
+// Names the case by its ratios; gtest's default print of the struct's
+// bytes (and so the ctest name) would hold spaces.
+void PrintTo(const FreqPair& p, std::ostream* os) { *os << "From" << p.from << "To" << p.to; }
+
 class FtalatPairSweep : public ::testing::TestWithParam<FreqPair> {};
 
 TEST_P(FtalatPairSweep, LatencyDistributionIndependentOfPair) {
